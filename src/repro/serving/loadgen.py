@@ -20,7 +20,7 @@ the 100k+ msg/s ceilings cost thousands of events, not hundreds of
 thousands.
 
 Everything here is deterministic: same trace + same config ⇒ the same
-event sequence, the same shed decisions, the same P² latency estimates,
+event sequence, the same shed decisions, the same latency histogram,
 and a byte-identical :class:`~repro.serving.report.ServingReport`.
 """
 

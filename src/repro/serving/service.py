@@ -24,8 +24,8 @@ Backpressure is explicit and loss is visible:
   acks and clients back off and retry instead of losing LUs.
 
 Ingest latency (enqueue to batched-apply, in virtual seconds) feeds a
-telemetry histogram with streaming p50/p90/p99 — the SLO surface the
-load generator reports against.
+telemetry histogram whose p50/p90/p99 are the SLO surface the load
+generator reports against.
 """
 
 from __future__ import annotations
@@ -43,28 +43,6 @@ from repro.telemetry.metrics import Histogram
 from repro.util.validation import check_positive
 
 __all__ = ["ServingConfig", "IngestService", "RecoveryStats"]
-
-#: Latency buckets for the ingest histogram (virtual seconds).  Batched
-#: drains bound latency by the flush interval under light load, so the
-#: default simulation buckets (1 ms .. 10 s) fit unchanged; they are
-#: restated here so the serving SLO surface is explicit.
-LATENCY_BUCKETS: tuple[float, ...] = (
-    0.001,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-)
-
-#: Quantiles the ingest latency histogram estimates (the SLO points).
-LATENCY_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
-
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -215,17 +193,10 @@ class IngestService:
         # a standalone (unregistered) instrument when telemetry is off.
         if tm.enabled:
             self.latency: Histogram = tm.histogram(
-                "serving.ingest.latency",
-                buckets=LATENCY_BUCKETS,
-                quantiles=LATENCY_QUANTILES,
-                service=name,
+                "serving.ingest.latency", service=name
             )
         else:
-            self.latency = Histogram(
-                "serving.ingest.latency",
-                buckets=LATENCY_BUCKETS,
-                quantiles=LATENCY_QUANTILES,
-            )
+            self.latency = Histogram("serving.ingest.latency")
 
     # -- intake ---------------------------------------------------------------
     def shard_index(self, update: LocationUpdate) -> int:
@@ -463,5 +434,5 @@ class IngestService:
         return sum(len(queue) for queue in self._queues)
 
     def latency_quantile(self, q: float) -> float:
-        """Streaming ingest-latency quantile estimate (virtual seconds)."""
+        """Ingest-latency quantile estimate (virtual seconds)."""
         return self.latency.quantile(q)

@@ -21,6 +21,8 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.telemetry.metrics import Histogram
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.hub import Telemetry
 
@@ -48,10 +50,10 @@ def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
 
     * counters — values summed across runs;
     * gauges — last values averaged across runs;
-    * histograms — ``count``/``sum`` summed, ``min``/``max`` taken over
-      all runs, ``mean`` recomputed from the merged totals (per-run P²
-      quantile markers and buckets cannot be merged exactly and are
-      dropped);
+    * histograms — buckets merged exactly (counts added, see
+      :meth:`Histogram.absorb`), so the merged entry is the snapshot of one
+      histogram over every run's samples: same buckets, ``count``,
+      ``min``/``max`` and p50/p90/p99 (``sum`` up to float rounding);
     * spans — ``count``/``wall_total``/``sim_total`` summed;
     * events — per-severity counts summed.
 
@@ -61,6 +63,7 @@ def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
     if not snapshots:
         raise ValueError("no snapshots to merge")
     metrics: dict[str, dict[str, Any]] = {}
+    histograms: dict[str, Histogram] = {}
     spans: dict[str, dict[str, float]] = {}
     event_counts: dict[str, int] = {}
     for snapshot in snapshots:
@@ -71,21 +74,9 @@ def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
             )
             slot["runs"] += 1
             if kind == "histogram":
-                slot.setdefault("count", 0)
-                slot.setdefault("sum", 0.0)
-                slot["count"] += data.get("count", 0)
-                slot["sum"] += data.get("sum", 0.0)
-                if data.get("count"):
-                    slot["min"] = min(
-                        slot.get("min", math.inf), data.get("min", math.inf)
-                    )
-                    slot["max"] = max(
-                        slot.get("max", -math.inf), data.get("max", -math.inf)
-                    )
-                slot["mean"] = (
-                    slot["sum"] / slot["count"] if slot["count"] else 0.0
-                )
-                slot.pop("value", None)
+                if name not in histograms:
+                    histograms[name] = Histogram(name)
+                histograms[name].absorb(data)
             else:
                 slot["value"] += data.get("value", 0.0)
         for name, data in (snapshot.get("spans") or {}).items():
@@ -101,6 +92,9 @@ def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
     for slot in metrics.values():
         if slot["kind"] == "gauge" and slot["runs"]:
             slot["value"] /= slot["runs"]
+    for name, histogram in histograms.items():
+        del metrics[name]["value"]
+        metrics[name].update(histogram.snapshot())
     return {
         "runs": len(snapshots),
         "metrics": dict(sorted(metrics.items())),

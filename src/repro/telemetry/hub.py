@@ -23,13 +23,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.events import EventLog, Severity
-from repro.telemetry.metrics import (
-    DEFAULT_QUANTILES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.sampler import Sampler
 from repro.telemetry.tracing import Span, Tracer
 
@@ -73,18 +67,9 @@ class Telemetry:
         """Registry gauge for ``(name, labels)``."""
         return self.registry.gauge(name, **labels)
 
-    def histogram(
-        self,
-        name: str,
-        *,
-        buckets: tuple[float, ...] | None = None,
-        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-        **labels: Any,
-    ) -> Histogram:
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         """Registry histogram for ``(name, labels)``."""
-        return self.registry.histogram(
-            name, buckets=buckets, quantiles=quantiles, **labels
-        )
+        return self.registry.histogram(name, **labels)
 
     # -- tracing / events -------------------------------------------------
     def span(self, name: str) -> Span:
@@ -187,7 +172,7 @@ class NullTelemetry:
         """The shared no-op instrument."""
         return _NULL_INSTRUMENT
 
-    def histogram(self, name: str, **kwargs: Any) -> _NullInstrument:
+    def histogram(self, name: str, **labels: Any) -> _NullInstrument:
         """The shared no-op instrument."""
         return _NULL_INSTRUMENT
 

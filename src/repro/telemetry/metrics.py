@@ -8,8 +8,8 @@ expose:
 * :class:`Gauge` — a value that moves both ways (queue depth, live
   cluster count, staleness);
 * :class:`Histogram` — a distribution (delivery latency, queueing
-  delay) with fixed cumulative buckets *and* streaming quantile
-  estimates (the P² algorithm, so no samples are retained).
+  delay) in mergeable log-linear buckets whose quantiles carry a fixed
+  relative error bound, so no samples are retained.
 
 Instruments are keyed by ``(name, labels)`` in a
 :class:`MetricsRegistry`; asking twice for the same key returns the same
@@ -20,6 +20,7 @@ paths cache them once.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Any
 
 __all__ = [
@@ -27,34 +28,37 @@ __all__ = [
     "LabelTuple",
     "Counter",
     "Gauge",
-    "P2Quantile",
     "Histogram",
     "MetricsRegistry",
-    "DEFAULT_BUCKETS",
+    "RELATIVE_ERROR",
 ]
 
 #: Canonical form of a label set: sorted ``(key, value)`` pairs.
 LabelTuple = tuple[tuple[str, str], ...]
 
-#: Default histogram bucket upper bounds, tuned for the latencies and
-#: delays (seconds) this simulation produces.  The implicit final bucket
-#: is ``+inf``.
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    0.001,
-    0.005,
-    0.01,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-)
+#: Quantiles every histogram snapshot reports.
+_SNAPSHOT_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
 
-#: Quantiles every histogram estimates by default.
-DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
+#: Worst-case relative error of :meth:`Histogram.quantile` (< 0.8%).
+RELATIVE_ERROR = 1.0 / 128.0
+
+#: Smallest normal float: the upper bound of the zero bucket.
+_SMALLEST = sys.float_info.min
+
+#: Lower bound of the top bucket, whose upper bound would be 2**1024.
+_LIMIT = math.ldexp(127, 1017)
+
+
+def _bucket_key(value: float) -> int:
+    """Bucket index of a normal positive float, contiguous across powers.
+
+    ``frexp`` gives ``value = m * 2**e`` with ``m`` in [0.5, 1), so
+    ``j = int(m * 128)`` in [64, 127] picks the sub-bucket
+    ``[j, j + 1) * 2**(e - 7)``.  The key is ``64 * e + j``: ``key >> 6``
+    is ``e + 1`` and ``key & 63`` is ``j - 64``.
+    """
+    mantissa, exponent = math.frexp(value)
+    return (exponent << 6) + int(mantissa * 128.0)
 
 
 class TelemetryError(RuntimeError):
@@ -153,157 +157,58 @@ class Gauge(_Instrument):
         return {"kind": self.kind, "value": self._value}
 
 
-class P2Quantile:
-    """Streaming quantile estimation via the P² algorithm.
+class Histogram(_Instrument):
+    """Distribution summary in log-linear buckets (DDSketch/HdrHistogram).
 
-    Jain & Chlamtac (1985): five markers track the running quantile
-    without retaining observations.  Estimates are exact for the first
-    five samples and converge quickly after; memory is O(1) and every
-    update is deterministic, which keeps telemetry snapshots seed-stable.
+    A positive sample lands in one of 64 equal-width sub-buckets of its
+    power of two, indexed by :func:`math.frexp`, which is exact, so the
+    placement is bit-identical on every platform.  Buckets live in a
+    sparse dict: ``observe`` is O(1) and no sample is retained.  Samples
+    below ``2**-1022`` (the smallest normal float, and ``0.0``) count in
+    one zero bucket.  Negative, non-finite and huge values (from
+    ``2**1024 * 127/128`` up) raise :class:`TelemetryError`.
+
+    ``quantile(q)`` answers any ``q`` in [0, 1]: the midpoint of the
+    bucket holding the nearest-rank sample (rank ``ceil(q * count)``),
+    clamped to the exact ``[min, max]``.  Each bucket is at most 1/64 of
+    its lower bound wide, so the estimate is within
+    :data:`RELATIVE_ERROR` (1/128) of that sample; a sample in the zero
+    bucket is estimated within ``2**-1022``.  Merging two histograms adds
+    their bucket counts (:meth:`absorb`), so merged quantiles carry the
+    same bound.
     """
 
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments", "_count")
-
-    def __init__(self, q: float) -> None:
-        if not (0.0 < q < 1.0):
-            raise TelemetryError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self._count = 0
-
-    def observe(self, x: float) -> None:
-        """Absorb one observation."""
-        self._count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(x)
-            heights.sort()
-            return
-        # Locate the cell containing x, extending extremes when needed.
-        if x < heights[0]:
-            heights[0] = x
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and not (heights[k] <= x < heights[k + 1]):
-                k += 1
-        for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers.
-        for i in (1, 2, 3):
-            d = self._desired[i] - self._positions[i]
-            n_prev = self._positions[i - 1]
-            n_here = self._positions[i]
-            n_next = self._positions[i + 1]
-            if (d >= 1.0 and n_next - n_here > 1.0) or (
-                d <= -1.0 and n_prev - n_here < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                self._positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    @property
-    def count(self) -> int:
-        """Observations absorbed so far."""
-        return self._count
-
-    @property
-    def value(self) -> float:
-        """The current quantile estimate (0.0 before any observation)."""
-        if not self._heights:
-            return 0.0
-        if len(self._heights) < 5:
-            # Exact quantile over the few retained samples.
-            idx = self.q * (len(self._heights) - 1)
-            lo = int(math.floor(idx))
-            hi = min(lo + 1, len(self._heights) - 1)
-            frac = idx - lo
-            return self._heights[lo] * (1.0 - frac) + self._heights[hi] * frac
-        return self._heights[2]
-
-
-class Histogram(_Instrument):
-    """Distribution summary: fixed buckets plus streaming quantiles."""
-
     kind = "histogram"
-    __slots__ = (
-        "_buckets",
-        "_bucket_counts",
-        "_count",
-        "_sum",
-        "_min",
-        "_max",
-        "_quantiles",
-    )
+    __slots__ = ("_buckets", "_zeros", "_count", "_sum", "_min", "_max")
 
-    def __init__(
-        self,
-        name: str,
-        labels: LabelTuple = (),
-        *,
-        buckets: tuple[float, ...] | None = None,
-        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-    ) -> None:
+    def __init__(self, name: str, labels: LabelTuple = ()) -> None:
         super().__init__(name, labels)
-        bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
-        if not bounds or list(bounds) != sorted(bounds):
-            raise TelemetryError(
-                f"histogram buckets must be non-empty and sorted, got {bounds}"
-            )
-        self._buckets = bounds
-        self._bucket_counts = [0] * (len(bounds) + 1)  # final bucket = +inf
+        self._buckets: dict[int, int] = {}
+        self._zeros = 0
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._quantiles = {q: P2Quantile(q) for q in quantiles}
 
     def observe(self, value: float) -> None:
         """Record one sample."""
+        if not 0.0 <= value < _LIMIT:
+            raise TelemetryError(
+                f"histogram {self.full_name} cannot record {value!r}: "
+                f"samples must be in [0, {_LIMIT:.4g})"
+            )
         self._count += 1
         self._sum += value
         if value < self._min:
             self._min = value
         if value > self._max:
             self._max = value
-        # Linear scan: bucket lists are short and this avoids bisect's
-        # per-call import indirection on the hot path.
-        placed = False
-        for i, upper in enumerate(self._buckets):
-            if value <= upper:
-                self._bucket_counts[i] += 1
-                placed = True
-                break
-        if not placed:
-            self._bucket_counts[-1] += 1
-        for estimator in self._quantiles.values():
-            estimator.observe(value)
+        if value < _SMALLEST:
+            self._zeros += 1
+        else:
+            key = _bucket_key(value)
+            buckets = self._buckets
+            buckets[key] = buckets.get(key, 0) + 1
 
     @property
     def count(self) -> int:
@@ -331,27 +236,60 @@ class Histogram(_Instrument):
         return self._max if self._count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Streaming estimate of quantile *q* (must have been configured)."""
-        try:
-            return self._quantiles[q].value
-        except KeyError:
-            raise TelemetryError(
-                f"histogram {self.full_name} does not track quantile {q}; "
-                f"tracked: {sorted(self._quantiles)}"
-            ) from None
+        """Estimate of quantile *q* in [0, 1] (0.0 when empty)."""
+        if not 0.0 <= q <= 1.0:
+            raise TelemetryError(f"quantile must be in [0, 1], got {q}")
+        if not self._count:
+            return 0.0
+        rank = max(1, math.ceil(q * self._count))
+        seen = self._zeros
+        estimate = 0.0
+        if seen < rank:
+            for key in sorted(self._buckets):
+                seen += self._buckets[key]
+                if seen >= rank:
+                    # The bucket's midpoint (see _bucket_key).
+                    estimate = math.ldexp(2 * (key & 63) + 129, (key >> 6) - 9)
+                    break
+        return min(max(estimate, self._min), self._max)
 
-    def bucket_counts(self) -> list[tuple[float, int]]:
-        """Cumulative counts per bucket upper bound (last bound is inf)."""
-        out: list[tuple[float, int]] = []
-        running = 0
-        for upper, count in zip(self._buckets, self._bucket_counts):
-            running += count
-            out.append((upper, running))
-        out.append((math.inf, running + self._bucket_counts[-1]))
-        return out
+    def absorb(self, snapshot: dict[str, Any]) -> None:
+        """Add another histogram's :meth:`snapshot` into this one.
+
+        Bucket counts add, so absorbing the snapshots of several
+        histograms yields exactly the histogram of all their samples
+        (``sum`` up to float rounding).
+        """
+        if not snapshot["count"]:
+            return
+        self._count += snapshot["count"]
+        self._sum += snapshot["sum"]
+        self._min = min(self._min, snapshot["min"])
+        self._max = max(self._max, snapshot["max"])
+        buckets = self._buckets
+        for upper, count in snapshot["buckets"]:
+            if upper == _SMALLEST:
+                self._zeros += count
+            else:
+                # A bucket's upper bound is its successor's lower bound.
+                key = _bucket_key(upper) - 1
+                buckets[key] = buckets.get(key, 0) + count
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-serialisable state (inf bucket rendered as a string)."""
+        """JSON-serialisable state.
+
+        ``buckets`` lists the occupied buckets as ``[upper_bound, count]``
+        pairs in ascending order; a bucket holds the samples below its
+        upper bound and at or above the previous bucket's bound.  The
+        bounds are exact binary fractions, so they survive a JSON round
+        trip and :meth:`absorb` can re-index them.
+        """
+        buckets: list[list[float]] = []
+        if self._zeros:
+            buckets.append([_SMALLEST, self._zeros])
+        for key in sorted(self._buckets):
+            upper = math.ldexp((key & 63) + 65, (key >> 6) - 8)
+            buckets.append([upper, self._buckets[key]])
         return {
             "kind": self.kind,
             "count": self._count,
@@ -359,11 +297,8 @@ class Histogram(_Instrument):
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "quantiles": {str(q): est.value for q, est in self._quantiles.items()},
-            "buckets": [
-                ["inf" if math.isinf(upper) else upper, count]
-                for upper, count in self.bucket_counts()
-            ],
+            "quantiles": {str(q): self.quantile(q) for q in _SNAPSHOT_QUANTILES},
+            "buckets": buckets,
         }
 
 
@@ -384,14 +319,13 @@ class MetricsRegistry:
         cls: type,
         name: str,
         labels: dict[str, Any],
-        **kwargs: Any,
     ) -> Any:
         if not name:
             raise TelemetryError("metric name must be non-empty")
         key = (name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
-            instrument = cls(name, key[1], **kwargs)
+            instrument = cls(name, key[1])
             self._instruments[key] = instrument
             return instrument
         if not isinstance(instrument, cls):
@@ -409,18 +343,9 @@ class MetricsRegistry:
         """The gauge for ``(name, labels)``, created on first use."""
         return self._get_or_create(Gauge, name, labels)
 
-    def histogram(
-        self,
-        name: str,
-        *,
-        buckets: tuple[float, ...] | None = None,
-        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-        **labels: Any,
-    ) -> Histogram:
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         """The histogram for ``(name, labels)``, created on first use."""
-        return self._get_or_create(
-            Histogram, name, labels, buckets=buckets, quantiles=quantiles
-        )
+        return self._get_or_create(Histogram, name, labels)
 
     def instruments(self) -> list[_Instrument]:
         """Every registered instrument, in registration order."""

@@ -255,10 +255,21 @@ class TestAggregation:
             replications=2,
         )
         result = run_sweep(spec, workers=1)
-        merged = result.cells["base"].telemetry()
+        cell = result.cells["base"]
+        merged = cell.telemetry()
         assert merged is not None
         assert merged["runs"] == 2
         assert merged["metrics"]  # counters from both runs folded together
+        latency = merged["metrics"]["net.channel.delivery_latency"]
+        runs = [
+            payload["result"]["telemetry"]["metrics"][
+                "net.channel.delivery_latency"
+            ]
+            for payload in cell.runs
+        ]
+        assert latency["count"] == sum(run["count"] for run in runs) > 0
+        # The default transparent channel delivers with exactly 0.0 latency.
+        assert latency["quantiles"] == {"0.5": 0.0, "0.9": 0.0, "0.99": 0.0}
 
     def test_telemetry_absent_when_disabled(self, tiny_spec):
         result = run_sweep(tiny_spec, workers=1)

@@ -1,31 +1,37 @@
 """Tests for cross-run telemetry snapshot merging."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.telemetry import merge_snapshots
+from repro.telemetry import Histogram, merge_snapshots
+from repro.telemetry.metrics import RELATIVE_ERROR
 
 
-def snapshot(counter=1.0, gauge=2.0, hist=(3, 6.0, 1.0, 3.0)):
-    count, total, lo, hi = hist
+def histogram_snapshot(values):
+    h = Histogram("latency")
+    for value in values:
+        h.observe(value)
+    return h.snapshot()
+
+
+def snapshot(counter=1.0, gauge=2.0, samples=(1.0, 2.0, 3.0)):
     return {
         "metrics": {
             "lu.sent": {"kind": "counter", "value": counter},
             "clusters.live": {"kind": "gauge", "value": gauge},
-            "latency": {
-                "kind": "histogram",
-                "count": count,
-                "sum": total,
-                "mean": total / count if count else 0.0,
-                "min": lo,
-                "max": hi,
-                "quantiles": {"0.5": 2.0},
-                "buckets": [[1.0, 1]],
-            },
+            "latency": histogram_snapshot(samples),
         },
         "samples": {"clusters.live": {"times": [0.0], "values": [gauge]}},
         "spans": {"step": {"count": 2, "wall_total": 0.5, "sim_total": 4.0}},
         "events": {"counts": {"info": 3, "warn": 1}},
     }
+
+
+def nearest_rank(values, q):
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 class TestMergeSnapshots:
@@ -40,16 +46,18 @@ class TestMergeSnapshots:
 
     def test_histograms_fold_count_sum_min_max(self):
         merged = merge_snapshots(
-            [snapshot(hist=(3, 6.0, 1.0, 3.0)), snapshot(hist=(1, 10.0, 0.5, 10.0))]
+            [snapshot(samples=(1.0, 2.0, 3.0)), snapshot(samples=(0.5, 10.0))]
         )
         latency = merged["metrics"]["latency"]
-        assert latency["count"] == 4
-        assert latency["sum"] == 16.0
-        assert latency["mean"] == 4.0
+        assert latency["count"] == 5
+        assert latency["sum"] == 16.5
+        assert latency["mean"] == 3.3
         assert latency["min"] == 0.5
         assert latency["max"] == 10.0
-        # Per-run quantile markers cannot be merged exactly; they're dropped.
-        assert "quantiles" not in latency
+        # Buckets add exactly, so the quantiles are recomputed, not dropped.
+        quantiles = latency["quantiles"]
+        assert quantiles["0.5"] == pytest.approx(2.0, rel=RELATIVE_ERROR)
+        assert quantiles["0.9"] == quantiles["0.99"] == 10.0
 
     def test_spans_and_events_sum(self):
         merged = merge_snapshots([snapshot(), snapshot()])
@@ -70,12 +78,54 @@ class TestMergeSnapshots:
         from repro.experiments import ExperimentConfig, run_experiment
         from repro.telemetry import TelemetryConfig
 
-        config = ExperimentConfig(
-            duration=3.0,
-            dth_factors=(1.0,),
-            telemetry=TelemetryConfig(enabled=True),
-        )
-        snaps = [run_experiment(config).telemetry for _ in range(2)]
+        # One transparent channel (every latency exactly 0.0) and one with
+        # a fixed 50 ms latency: the merged quantiles span both runs.
+        snaps = [
+            run_experiment(
+                ExperimentConfig(
+                    duration=3.0,
+                    dth_factors=(1.0,),
+                    channel_latency=latency,
+                    telemetry=TelemetryConfig(enabled=True),
+                )
+            ).telemetry
+            for latency in (0.0, 0.05)
+        ]
         merged = merge_snapshots(snaps)
         assert merged["runs"] == 2
         assert merged["metrics"]
+        name = "net.channel.delivery_latency"
+        counts = [snap["metrics"][name]["count"] for snap in snaps]
+        assert counts[0] == counts[1] > 0
+        latency = merged["metrics"][name]
+        assert latency["count"] == sum(counts)
+        assert latency["quantiles"] == {"0.5": 0.0, "0.9": 0.05, "0.99": 0.05}
+
+
+class TestExactMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # Bounded so that sums stay finite; the top of the bucket grid and
+        # values beyond it have their own tests in test_metrics.py.
+        values=st.lists(st.floats(min_value=0.0, max_value=1e300), max_size=60),
+        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
+    )
+    def test_merge_equals_one_histogram(self, values, cuts):
+        bounds = sorted(min(cut, len(values)) for cut in cuts)
+        runs = [
+            values[lo:hi]
+            for lo, hi in zip([0, *bounds], [*bounds, len(values)])
+        ]
+        merged = merge_snapshots(
+            [{"metrics": {"h": histogram_snapshot(run)}} for run in runs]
+        )["metrics"]["h"]
+        whole = histogram_snapshot(values)
+        for key in ("count", "min", "max", "buckets", "quantiles"):
+            assert merged[key] == whole[key], key
+        assert merged["sum"] == pytest.approx(whole["sum"])
+        for q, estimate in merged["quantiles"].items():
+            exact = nearest_rank(values, float(q)) if values else 0.0
+            # The zero bucket (below the smallest normal float) is exact
+            # only to within that float.
+            bound = max(exact * RELATIVE_ERROR, 2.0**-1022)
+            assert abs(estimate - exact) <= bound

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -10,9 +11,9 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    P2Quantile,
     TelemetryError,
 )
+from repro.telemetry.metrics import RELATIVE_ERROR
 
 
 @pytest.fixture
@@ -72,44 +73,93 @@ class TestHistogram:
         assert h.mean == pytest.approx(1.5)
 
     def test_bucket_counts_cumulative(self, registry):
-        h = registry.histogram("h", buckets=(1.0, 2.0))
-        for v in (0.5, 1.5, 5.0):
+        h = registry.histogram("h")
+        values = (0.5, 1.5, 5.0)
+        for v in values:
             h.observe(v)
-        counts = dict(h.bucket_counts())
-        assert counts[1.0] == 1
-        assert counts[2.0] == 2
-        assert counts[math.inf] == 3
+        buckets = h.snapshot()["buckets"]
+        uppers = [upper for upper, _ in buckets]
+        assert uppers == sorted(uppers)
+        running = 0
+        for (upper, count), value in zip(buckets, values):
+            running += count
+            # Each sample lies below its bucket's bound, within 1/64 of it.
+            assert value < upper <= value * (1 + 1 / 64)
+        assert running == h.count == 3
 
-    def test_exact_quantiles_for_few_samples(self, registry):
+    def test_bucket_bounds_are_exact_binary_fractions(self, registry):
+        h = registry.histogram("h")
+        h.observe(0.1)  # 0.8 * 2**-3: sub-bucket int(0.8 * 128) = 102
+        h.observe(1.0)  # 0.5 * 2**1: the first sub-bucket of [1, 2)
+        assert h.snapshot()["buckets"] == [[103 / 1024, 1], [65 / 64, 1]]
+
+    def test_few_sample_quantiles_within_relative_bound(self, registry):
         h = registry.histogram("h")
         for v in (1.0, 2.0, 3.0):
             h.observe(v)
-        assert h.quantile(0.5) == pytest.approx(2.0)
+        for q, exact in ((0.0, 1.0), (0.5, 2.0), (1.0, 3.0)):
+            assert h.quantile(q) == pytest.approx(exact, rel=RELATIVE_ERROR)
 
-    def test_p2_tracks_uniform_median(self, registry):
+    def test_tracks_uniform_quantiles(self, registry):
         h = registry.histogram("h")
         for i in range(1, 1001):
             h.observe(i / 1000.0)
-        assert h.quantile(0.5) == pytest.approx(0.5, abs=0.02)
-        assert h.quantile(0.9) == pytest.approx(0.9, abs=0.02)
+        assert h.quantile(0.5) == pytest.approx(0.5, rel=RELATIVE_ERROR)
+        assert h.quantile(0.9) == pytest.approx(0.9, rel=RELATIVE_ERROR)
+        assert h.quantile(0.99) == pytest.approx(0.99, rel=RELATIVE_ERROR)
+
+    def test_deterministic(self):
+        def run():
+            h = Histogram("h")
+            value = 0.0
+            for _ in range(500):
+                value = (value * 1103515245 + 12345) % 1000
+                h.observe(value / 1000.0)
+            return h.snapshot()
+
+        assert run() == run()
+
+    def test_zero_counts_in_zero_bucket(self, registry):
+        h = registry.histogram("h")
+        h.observe(0.0)
+        h.observe(0.0)
+        h.observe(4.0)
+        assert h.snapshot()["buckets"][0] == [sys.float_info.min, 2]
+        assert h.quantile(0.5) == 0.0
+        assert h.quantile(1.0) == 4.0
+
+    def test_largest_accepted_value_has_a_finite_bound(self, registry):
+        h = registry.histogram("h")
+        value = math.nextafter(math.ldexp(127, 1017), 0.0)
+        h.observe(value)
+        [[upper, count]] = h.snapshot()["buckets"]
+        assert count == 1 and value < upper < math.inf
+
+    @pytest.mark.parametrize(
+        "value",
+        [-1.0, -1e-300, math.nan, math.inf, -math.inf, math.ldexp(127, 1017)],
+    )
+    def test_rejects_values_off_the_bucket_grid(self, registry, value):
+        h = registry.histogram("h")
+        with pytest.raises(TelemetryError):
+            h.observe(value)
+        assert h.count == 0
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5, math.nan])
+    def test_quantile_outside_unit_interval_raises(self, registry, q):
+        with pytest.raises(TelemetryError):
+            registry.histogram("h").quantile(q)
+
+    def test_empty_quantile_is_zero(self, registry):
+        assert registry.histogram("h").quantile(0.5) == 0.0
 
     def test_snapshot_is_json_safe(self, registry):
         h = registry.histogram("h")
-        h.observe(1.0)
-        json.dumps(h.snapshot())
-
-
-class TestP2Quantile:
-    def test_deterministic(self):
-        def run():
-            q = P2Quantile(0.5)
-            value = 0.0
-            for i in range(500):
-                value = (value * 1103515245 + 12345) % 1000
-                q.observe(value / 1000.0)
-            return q.value
-
-        assert run() == run()
+        for v in (0.0, 1e-3, 1.0, 1e6):
+            h.observe(v)
+        snap = h.snapshot()
+        assert json.loads(json.dumps(snap)) == snap
+        assert set(snap["quantiles"]) == {"0.5", "0.9", "0.99"}
 
 
 class TestRegistry:
