@@ -15,8 +15,6 @@ The broker is driven two ways:
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
@@ -128,18 +126,6 @@ class GridBroker:
             self._tracker_factory = lambda: make(alpha)
         else:
             self._tracker_factory = LastKnownTracker
-        # No-LE brokers create nothing but LastKnownTrackers, whose update
-        # is a plain field refresh — receive_update inlines it.  Brokers on
-        # the default "brown" estimator likewise hold only BrownTrackers,
-        # whose update receive_update also inlines.
-        self._last_known_only = (
-            tracker_factory is None and not self.config.use_location_estimator
-        )
-        self._brown_only = (
-            tracker_factory is None
-            and self.config.use_location_estimator
-            and self.config.estimator == "brown"
-        )
         self.name = name
         tm = telemetry if telemetry is not None else NULL_TELEMETRY
         self._telemetry = tm
@@ -191,11 +177,8 @@ class GridBroker:
             # reordered, or for a quarantined node.  Absorb it instead of
             # letting the strict monotonic-time checks blow up the broker.
             timestamp = update.timestamp
-            if (
-                tracker is not None
-                and tracker._last_time is not None
-                and timestamp < tracker._last_time
-            ):
+            fix = None if tracker is None else tracker.last_fix
+            if fix is not None and timestamp < fix[0]:
                 # Older than what we already know — a retransmit that lost
                 # the race.  It carries no new information; drop it.
                 self.stale_lus_dropped += 1
@@ -216,7 +199,7 @@ class GridBroker:
                 # Fresh tracker: smoothing state from before a long outage
                 # describes a trajectory the node abandoned long ago.
                 tracker = None
-            previous = self.location_db._latest.get(node_id)
+            previous = self.location_db.latest(node_id)
             if previous is not None and timestamp < previous.time:
                 # The DB already holds a newer (estimated) record; feed the
                 # tracker — a real fix always beats an estimate — but keep
@@ -225,66 +208,8 @@ class GridBroker:
         if tracker is None:
             tracker = self._trackers[node_id] = self._tracker_factory()
         cap = update.dth if update.dth > 0 else None
-        timestamp = update.timestamp
-        if self._last_known_only:
-            # Inlined LastKnownTracker.update (cap is already None-or-
-            # positive, matching its displacement_cap normalisation).
-            if tracker._last_time is not None and timestamp < tracker._last_time:
-                raise ValueError(
-                    f"update times must be non-decreasing: "
-                    f"{timestamp} < {tracker._last_time}"
-                )
-            tracker._last_time = timestamp
-            tracker._last_position = update.position
-            tracker._displacement_cap = cap
-            tracker._updates += 1
-        elif self._brown_only:
-            # Inlined BrownTracker.update, smoothers included — identical
-            # arithmetic, one frame instead of two per LU.
-            if tracker._last_time is not None and timestamp < tracker._last_time:
-                raise ValueError(
-                    f"update times must be non-decreasing: "
-                    f"{timestamp} < {tracker._last_time}"
-                )
-            velocity = update.velocity
-            vx, vy = velocity.x, velocity.y
-            speed = math.hypot(vx, vy)
-            sp = tracker._speed
-            if sp._n == 0:
-                sp._s1 = speed
-                sp._s2 = speed
-            else:
-                a = sp._alpha
-                sp._s1 = a * speed + (1.0 - a) * sp._s1
-                sp._s2 = a * sp._s1 + (1.0 - a) * sp._s2
-            sp._n += 1
-            if speed > 1e-9:
-                c = vx / speed
-                dc = tracker._dir_cos
-                if dc._n == 0:
-                    dc._s1 = c
-                    dc._s2 = c
-                else:
-                    a = dc._alpha
-                    dc._s1 = a * c + (1.0 - a) * dc._s1
-                    dc._s2 = a * dc._s1 + (1.0 - a) * dc._s2
-                dc._n += 1
-                s = vy / speed
-                ds = tracker._dir_sin
-                if ds._n == 0:
-                    ds._s1 = s
-                    ds._s2 = s
-                else:
-                    a = ds._alpha
-                    ds._s1 = a * s + (1.0 - a) * ds._s1
-                    ds._s2 = a * ds._s1 + (1.0 - a) * ds._s2
-                ds._n += 1
-            tracker._last_time = timestamp
-            tracker._last_position = update.position
-            tracker._displacement_cap = cap
-            tracker._updates += 1
         # Map-matched trackers additionally consume the LU's region tag.
-        elif self._maybe_map_matched and isinstance(tracker, MapMatchedTracker):
+        if self._maybe_map_matched and isinstance(tracker, MapMatchedTracker):
             tracker.update(
                 update.timestamp,
                 update.position,
@@ -303,30 +228,11 @@ class GridBroker:
             if record is None:
                 record = LocationRecord(
                     node_id=node_id,
-                    time=timestamp,
+                    time=update.timestamp,
                     position=update.position,
                     source=RecordSource.RECEIVED,
                 )
-            # Inlined LocationDB.store (same checks, counters and history
-            # bookkeeping): this path runs once per LU per broker, and the
-            # store frame was a measurable slice of the whole simulation.
-            db = self.location_db
-            latest = db._latest
-            previous = latest.get(node_id)
-            if previous is not None and timestamp < previous.time:
-                raise ValueError(
-                    f"record for {node_id} at {timestamp} is older than "
-                    f"latest ({previous.time})"
-                )
-            latest[node_id] = record
-            history = db._history.get(node_id)
-            if history is None:
-                history = db._history[node_id] = deque(maxlen=db._history_length)
-            history.append(record)
-            db.stored_received += 1
-            if db._instrumented:
-                db._t_received.inc()
-                db._t_nodes.set(len(latest))
+            self.location_db.store(record)
         self._updated_since_tick.add(node_id)
 
     # -- the estimation sweep ------------------------------------------------
@@ -348,6 +254,7 @@ class GridBroker:
             updated.clear()
             return 0
         store = self.location_db.store
+        estimated_source = RecordSource.ESTIMATED
         degraded = self._degraded_mode
         max_age = self._max_extrapolation_age
         quarantine_age = self._quarantine_age
@@ -357,12 +264,11 @@ class GridBroker:
                 age = now - t_fix
                 if age > staleness_max:
                     staleness_max = age
-            if node_id in updated:
-                continue
-            if tracker._last_position is None:  # inlined tracker.has_fix
+            if node_id in updated or not tracker.has_fix:
                 continue
             if degraded:
-                age = now - tracker._last_time
+                t_fix, last_position = tracker.last_fix
+                age = now - t_fix
                 if quarantine_age is not None and age > quarantine_age:
                     if node_id not in self._quarantined:
                         self._quarantined.add(node_id)
@@ -383,7 +289,7 @@ class GridBroker:
                 if max_age is not None and age > max_age:
                     # Decay: past the extrapolation budget the velocity
                     # belief is stale; anchor to the last received fix.
-                    position = tracker._last_position
+                    position = last_position
                 else:
                     position = tracker.predict(now)
             else:
@@ -395,7 +301,7 @@ class GridBroker:
                     node_id=node_id,
                     time=now,
                     position=position,
-                    source=RecordSource.ESTIMATED,
+                    source=estimated_source,
                 )
             )
             estimated += 1
@@ -470,15 +376,17 @@ class GridBroker:
         if self._degraded_mode:
             if node_id in self._quarantined:
                 return None
-            if tracker is not None and tracker.has_fix and now is not None:
-                age = now - tracker._last_time
+            fix = None if tracker is None else tracker.last_fix
+            if fix is not None and now is not None:
+                t_fix, last_position = fix
+                age = now - t_fix
                 if self._quarantine_age is not None and age > self._quarantine_age:
                     return None
                 if (
                     self._max_extrapolation_age is not None
                     and age > self._max_extrapolation_age
                 ):
-                    return tracker._last_position
+                    return last_position
         if tracker is not None and tracker.has_fix and now is not None:
             return tracker.predict(now)
         return self.location_db.position_of(node_id)

@@ -28,6 +28,12 @@ class RecordSource(enum.Enum):
     ESTIMATED = "estimated"
 
 
+# Looking an enum member up through its class costs a descriptor call;
+# LocationDB.store, which runs once per stored record, compares against this
+# module constant instead.
+_RECEIVED = RecordSource.RECEIVED
+
+
 @dataclass(frozen=True, slots=True)
 class LocationRecord:
     """One entry of the location DB."""
@@ -85,12 +91,13 @@ class LocationDB:
                 maxlen=self._history_length
             )
         history.append(record)
-        if record.source is RecordSource.RECEIVED:
+        received = record.source is _RECEIVED
+        if received:
             self.stored_received += 1
         else:
             self.stored_estimated += 1
         if self._instrumented:
-            if record.source is RecordSource.RECEIVED:
+            if received:
                 self._t_received.inc()
             else:
                 self._t_estimated.inc()

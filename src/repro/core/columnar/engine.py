@@ -53,6 +53,7 @@ from repro.core.columnar.kernels import (
 from repro.core.columnar.mobility import MobilitySource, ObjectMobilitySource
 from repro.core.columnar.state import PATTERN_CODES
 from repro.estimation.metrics import rmse
+from repro.estimation.smoothing import brown_forecast, brown_step
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult, LaneResult, RegionErrors
 from repro.mobility.population import build_population
@@ -211,14 +212,13 @@ class _BrownBrokerState:
         dth: np.ndarray,
         now: float,
     ) -> None:
-        """Absorb the transmitting rows *idx* (Brown recurrences inlined)."""
+        """Absorb the transmitting rows *idx* (BrownTracker.update)."""
         a = self.alpha
         sp = speeds[idx]
         first = self.sp_n[idx] == 0
-        s1 = np.where(first, sp, a * sp + (1.0 - a) * self.sp_s1[idx])
-        s2 = np.where(first, sp, a * s1 + (1.0 - a) * self.sp_s2[idx])
-        self.sp_s1[idx] = s1
-        self.sp_s2[idx] = s2
+        s1, s2 = brown_step(self.sp_s1[idx], self.sp_s2[idx], sp, a)
+        self.sp_s1[idx] = np.where(first, sp, s1)
+        self.sp_s2[idx] = np.where(first, sp, s2)
         self.sp_n[idx] += 1
         moving = sp > 1e-9
         midx = idx[moving]
@@ -226,15 +226,13 @@ class _BrownBrokerState:
             ms = speeds[midx]
             firstd = self.dir_n[midx] == 0
             c = vx[midx] / ms
-            c1 = np.where(firstd, c, a * c + (1.0 - a) * self.dc_s1[midx])
-            c2 = np.where(firstd, c, a * c1 + (1.0 - a) * self.dc_s2[midx])
-            self.dc_s1[midx] = c1
-            self.dc_s2[midx] = c2
+            c1, c2 = brown_step(self.dc_s1[midx], self.dc_s2[midx], c, a)
+            self.dc_s1[midx] = np.where(firstd, c, c1)
+            self.dc_s2[midx] = np.where(firstd, c, c2)
             s = vy[midx] / ms
-            t1 = np.where(firstd, s, a * s + (1.0 - a) * self.ds_s1[midx])
-            t2 = np.where(firstd, s, a * t1 + (1.0 - a) * self.ds_s2[midx])
-            self.ds_s1[midx] = t1
-            self.ds_s2[midx] = t2
+            t1, t2 = brown_step(self.ds_s1[midx], self.ds_s2[midx], s, a)
+            self.ds_s1[midx] = np.where(firstd, s, t1)
+            self.ds_s2[midx] = np.where(firstd, s, t2)
             self.dir_n[midx] += 1
         self.last_x[idx] = x[idx]
         self.last_y[idx] = y[idx]
@@ -259,18 +257,13 @@ class _BrownBrokerState:
         py = ly.copy()
         dt = np.maximum(now - self.last_t[idx], 0.0)
         a = self.alpha
-        q = a / (1.0 - a)
-        s1 = self.sp_s1[idx]
-        s2 = self.sp_s2[idx]
-        speed = np.maximum(2.0 * s1 - s2 + 1.0 * (q * (s1 - s2)), 0.0)
+        speed = np.maximum(
+            brown_forecast(self.sp_s1[idx], self.sp_s2[idx], a), 0.0
+        )
         active = (dt > 0.0) & (self.sp_n[idx] > 0)
         active &= (speed > 1e-9) & (self.dir_n[idx] > 0)
-        c1 = self.dc_s1[idx]
-        c2 = self.dc_s2[idx]
-        c = 2.0 * c1 - c2 + 1.0 * (q * (c1 - c2))
-        t1 = self.ds_s1[idx]
-        t2 = self.ds_s2[idx]
-        s = 2.0 * t1 - t2 + 1.0 * (q * (t1 - t2))
+        c = brown_forecast(self.dc_s1[idx], self.dc_s2[idx], a)
+        s = brown_forecast(self.ds_s1[idx], self.ds_s2[idx], a)
         norm = kernel.hypot(c, s)
         active &= norm > 1e-9
         over = active & (norm > 1.0)

@@ -23,7 +23,30 @@ __all__ = [
     "SimpleExponentialSmoothing",
     "BrownDoubleExponentialSmoothing",
     "HoltLinearSmoothing",
+    "brown_step",
+    "brown_forecast",
 ]
+
+
+def brown_step(s1, s2, x, a):
+    """One step of Brown's recurrence: ``(S', S'')`` after observing *x*.
+
+    Plain arithmetic, so it runs on Python floats and elementwise on numpy
+    arrays alike; the object trackers and the columnar broker state both
+    call it and therefore agree bit for bit.  The first observation
+    (``S' = S'' = x``) is the caller's to handle.
+    """
+    s1 = a * x + (1.0 - a) * s1
+    return s1, a * s1 + (1.0 - a) * s2
+
+
+def brown_forecast(s1, s2, a, horizon=1.0):
+    """Brown's *horizon*-step forecast ``level + horizon * trend``.
+
+    Level is ``2S' - S''`` and trend ``a/(1-a) * (S' - S'')``; like
+    :func:`brown_step` it works on floats and numpy arrays.
+    """
+    return 2.0 * s1 - s2 + horizon * (a / (1.0 - a) * (s1 - s2))
 
 
 class _Smoother(abc.ABC):
@@ -56,8 +79,10 @@ class _Smoother(abc.ABC):
         self._n += 1
         return self.level
 
-    @abc.abstractmethod
-    def _absorb(self, value: float) -> None: ...
+    def _absorb(self, value: float) -> None:
+        """Fold *value* into the state (subclasses that keep the generic
+        :meth:`update` implement this)."""
+        raise NotImplementedError
 
     @property
     @abc.abstractmethod
@@ -146,28 +171,18 @@ class BrownDoubleExponentialSmoothing(_Smoother):
         self._s2 = float(state["s2"])
 
     def update(self, value: float) -> float:
-        # Concrete override of _Smoother.update: Brown smoothers absorb one
-        # observation per LU per component, so the extra _absorb dispatch and
-        # level property hop are measurable.  Arithmetic matches _absorb.
+        # The smoother's only step path (no _absorb): Brown smoothers absorb
+        # one observation per LU per component, so the template's _absorb
+        # dispatch and level property hop would be measurable.
         value = float(value)
         if self._n == 0:
-            self._s1 = value
-            self._s2 = value
+            s1 = s2 = value
         else:
-            a = self._alpha
-            self._s1 = a * value + (1.0 - a) * self._s1
-            self._s2 = a * self._s1 + (1.0 - a) * self._s2
+            s1, s2 = brown_step(self._s1, self._s2, value, self._alpha)
+        self._s1 = s1
+        self._s2 = s2
         self._n += 1
-        return 2.0 * self._s1 - self._s2
-
-    def _absorb(self, value: float) -> None:
-        if self._n == 0:
-            self._s1 = value
-            self._s2 = value
-        else:
-            a = self._alpha
-            self._s1 = a * value + (1.0 - a) * self._s1
-            self._s2 = a * self._s1 + (1.0 - a) * self._s2
+        return 2.0 * s1 - s2
 
     @property
     def level(self) -> float:
@@ -176,13 +191,10 @@ class BrownDoubleExponentialSmoothing(_Smoother):
     @property
     def trend(self) -> float:
         """Estimated per-step slope of the series."""
-        if self._n == 0:
-            return 0.0
-        a = self._alpha
-        return a / (1.0 - a) * (self._s1 - self._s2)
+        return brown_forecast(self._s1, self._s2, self._alpha) - self.level
 
     def forecast(self, horizon: float = 1.0) -> float:
-        return self.level + horizon * self.trend
+        return brown_forecast(self._s1, self._s2, self._alpha, horizon)
 
 
 class HoltLinearSmoothing(_Smoother):

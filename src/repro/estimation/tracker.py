@@ -146,8 +146,12 @@ class LocationTracker(abc.ABC):
             return predicted
         return self._last_position + offset * (self._displacement_cap / distance)
 
-    @abc.abstractmethod
-    def _observe(self, time: float, position: Vec2, velocity: Vec2) -> None: ...
+    def _observe(self, time: float, position: Vec2, velocity: Vec2) -> None:
+        """Fold one LU into the estimator state (called by :meth:`update`).
+
+        A no-op here; trackers that override :meth:`update` with a flat
+        version absorb the LU there instead.
+        """
 
     @abc.abstractmethod
     def predict(self, time: float) -> Vec2:
@@ -175,8 +179,8 @@ class LastKnownTracker(LocationTracker):
         *,
         displacement_cap: float | None = None,
     ) -> None:
-        # Concrete override: no observation to absorb, so skip the abstract
-        # _observe dispatch — this runs once per LU for every no-LE broker.
+        # Concrete override: no observation to absorb, so skip the _observe
+        # dispatch — this runs once per LU for every no-LE broker.
         if self._last_time is not None and time < self._last_time:
             raise ValueError(
                 f"update times must be non-decreasing: {time} < {self._last_time}"
@@ -187,175 +191,10 @@ class LastKnownTracker(LocationTracker):
             displacement_cap if displacement_cap and displacement_cap > 0 else None
         )
         self._updates += 1
-
-    def _observe(self, time: float, position: Vec2, velocity: Vec2) -> None:
-        pass
 
     def predict(self, time: float) -> Vec2:
         _, position = self._require_fix()
         return position
-
-
-class BrownTracker(LocationTracker):
-    """The paper's Location Estimator.
-
-    Speed and direction are each smoothed with Brown's double exponential
-    smoothing over the received LUs.  Direction is smoothed on its unit
-    vector (one Brown smoother per cos/sin component), which keeps the
-    estimate wrap-safe: smoothing a raw or unwrapped angle turns periodic
-    headings — e.g. a node patrolling a road back and forth — into a ramp
-    whose trend permanently rotates the estimate off-heading.  The
-    prediction projects from the last fix:
-
-        position(t) = last_fix + v_hat * (t - t_fix) * (cos θ_hat, sin θ_hat)
-    """
-
-    _state_kind = "brown"
-
-    def __init__(self, alpha: float = 0.4) -> None:
-        super().__init__()
-        self._speed = BrownDoubleExponentialSmoothing(alpha)
-        self._dir_cos = BrownDoubleExponentialSmoothing(alpha)
-        self._dir_sin = BrownDoubleExponentialSmoothing(alpha)
-
-    def _extra_state(self) -> dict:
-        return {
-            "dir_cos": self._dir_cos.state_dict(),
-            "dir_sin": self._dir_sin.state_dict(),
-            "speed": self._speed.state_dict(),
-        }
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._dir_cos.load_state(state["dir_cos"])
-        self._dir_sin.load_state(state["dir_sin"])
-        self._speed.load_state(state["speed"])
-
-    def update(
-        self,
-        time: float,
-        position: Vec2,
-        velocity: Vec2,
-        *,
-        displacement_cap: float | None = None,
-    ) -> None:
-        # Concrete override flattening base.update -> _observe -> the three
-        # smoother updates into one frame; the arithmetic matches
-        # BrownDoubleExponentialSmoothing.update exactly (and vx / speed
-        # matches (velocity / speed).x).
-        if self._last_time is not None and time < self._last_time:
-            raise ValueError(
-                f"update times must be non-decreasing: {time} < {self._last_time}"
-            )
-        vx, vy = velocity.x, velocity.y
-        speed = math.hypot(vx, vy)
-        sp = self._speed
-        if sp._n == 0:
-            sp._s1 = speed
-            sp._s2 = speed
-        else:
-            a = sp._alpha
-            sp._s1 = a * speed + (1.0 - a) * sp._s1
-            sp._s2 = a * sp._s1 + (1.0 - a) * sp._s2
-        sp._n += 1
-        if speed > 1e-9:
-            c = vx / speed
-            dc = self._dir_cos
-            if dc._n == 0:
-                dc._s1 = c
-                dc._s2 = c
-            else:
-                a = dc._alpha
-                dc._s1 = a * c + (1.0 - a) * dc._s1
-                dc._s2 = a * dc._s1 + (1.0 - a) * dc._s2
-            dc._n += 1
-            s = vy / speed
-            ds = self._dir_sin
-            if ds._n == 0:
-                ds._s1 = s
-                ds._s2 = s
-            else:
-                a = ds._alpha
-                ds._s1 = a * s + (1.0 - a) * ds._s1
-                ds._s2 = a * ds._s1 + (1.0 - a) * ds._s2
-            ds._n += 1
-        self._last_time = time
-        self._last_position = position
-        self._displacement_cap = (
-            displacement_cap if displacement_cap and displacement_cap > 0 else None
-        )
-        self._updates += 1
-
-    def _observe(self, time: float, position: Vec2, velocity: Vec2) -> None:
-        vx, vy = velocity.x, velocity.y
-        speed = math.hypot(vx, vy)
-        self._speed.update(speed)
-        if speed > 1e-9:
-            self._dir_cos.update(vx / speed)
-            self._dir_sin.update(vy / speed)
-
-    def _heading_vector(self) -> Vec2 | None:
-        """Smoothed heading as a vector whose norm encodes confidence.
-
-        The forecast of the cos/sin components is the (trend-extrapolated)
-        mean resultant vector of recent headings: length ~1 for steady
-        headings, ~0 for erratic ones.  Scaling the dead-reckoned
-        displacement by that length makes the estimator conservative exactly
-        when direction is unpredictable (RMS nodes, reversals).
-        """
-        if not self._dir_cos.ready:
-            return None
-        c = self._dir_cos.forecast(1.0)
-        s = self._dir_sin.forecast(1.0)
-        norm = math.hypot(c, s)
-        if norm <= 1e-9:
-            return None
-        if norm > 1.0:
-            c, s = c / norm, s / norm
-        return Vec2(c, s)
-
-    def predict(self, time: float) -> Vec2:
-        # Flattened: forecast/level/trend, _heading_vector and _clamp_to_cap
-        # inlined with identical arithmetic — the broker estimates every
-        # silent node once per tick through this method.
-        position = self._last_position
-        t_fix = self._last_time
-        if position is None or t_fix is None:
-            raise RuntimeError("tracker has no fix yet; cannot predict")
-        dt = max(time - t_fix, 0.0)
-        sp = self._speed
-        if dt == 0.0 or sp._n == 0:
-            return position
-        a = sp._alpha
-        s1, s2 = sp._s1, sp._s2
-        speed = max(2.0 * s1 - s2 + 1.0 * (a / (1.0 - a) * (s1 - s2)), 0.0)
-        dc = self._dir_cos
-        if speed <= 1e-9 or dc._n == 0:
-            return position
-        a = dc._alpha
-        s1, s2 = dc._s1, dc._s2
-        c = 2.0 * s1 - s2 + 1.0 * (a / (1.0 - a) * (s1 - s2))
-        ds = self._dir_sin
-        a = ds._alpha
-        s1, s2 = ds._s1, ds._s2
-        s = 2.0 * s1 - s2 + 1.0 * (a / (1.0 - a) * (s1 - s2))
-        norm = math.hypot(c, s)
-        if norm <= 1e-9:
-            return position
-        if norm > 1.0:
-            c, s = c / norm, s / norm
-        k = speed * dt
-        px = position.x + c * k
-        py = position.y + s * k
-        cap = self._displacement_cap
-        if cap is None:
-            return Vec2(px, py)
-        ox = px - position.x
-        oy = py - position.y
-        distance = math.hypot(ox, oy)
-        if distance <= cap:
-            return Vec2(px, py)
-        scale = cap / distance
-        return Vec2(position.x + ox * scale, position.y + oy * scale)
 
 
 class VelocityComponentTracker(LocationTracker):
@@ -397,7 +236,15 @@ class _ScalarPairTracker(LocationTracker):
     """Shared machinery for trackers that smooth speed + direction.
 
     Direction is smoothed on its unit vector components, as in
-    :class:`BrownTracker`.
+    :class:`BrownTracker`.  The forecast of the cos/sin components is the
+    (trend-extrapolated) mean resultant vector of recent headings: length
+    ~1 for steady headings, ~0 for erratic ones.  Scaling the dead-reckoned
+    displacement by that length makes the estimator conservative exactly
+    when direction is unpredictable (RMS nodes, reversals).
+
+    ``update`` and ``predict`` are written flat (plain floats, no ``Vec2``
+    temporaries, no ``_observe`` hop): the broker calls them once per LU
+    and once per silent node per tick.
     """
 
     def __init__(
@@ -420,19 +267,41 @@ class _ScalarPairTracker(LocationTracker):
         self._dir_sin.load_state(state["dir_sin"])
         self._speed.load_state(state["speed"])
 
-    def _observe(self, time: float, position: Vec2, velocity: Vec2) -> None:
-        speed = velocity.norm()
+    def update(
+        self,
+        time: float,
+        position: Vec2,
+        velocity: Vec2,
+        *,
+        displacement_cap: float | None = None,
+    ) -> None:
+        if self._last_time is not None and time < self._last_time:
+            raise ValueError(
+                f"update times must be non-decreasing: {time} < {self._last_time}"
+            )
+        vx, vy = velocity.x, velocity.y
+        speed = math.hypot(vx, vy)
         self._speed.update(speed)
         if speed > 1e-9:
-            unit = velocity / speed
-            self._dir_cos.update(unit.x)
-            self._dir_sin.update(unit.y)
+            self._dir_cos.update(vx / speed)
+            self._dir_sin.update(vy / speed)
+        self._last_time = time
+        self._last_position = position
+        self._displacement_cap = (
+            displacement_cap if displacement_cap and displacement_cap > 0 else None
+        )
+        self._updates += 1
 
     def predict(self, time: float) -> Vec2:
-        t_fix, position = self._require_fix()
+        position = self._last_position
+        t_fix = self._last_time
+        if position is None or t_fix is None:
+            raise RuntimeError("tracker has no fix yet; cannot predict")
         dt = max(time - t_fix, 0.0)
-        if dt == 0.0 or not self._speed.ready or not self._dir_cos.ready:
+        if dt == 0.0:
             return position
+        # A smoother with no observations forecasts 0.0, so a node that
+        # never reported a speed (or a heading) stays at its fix below.
         speed = max(self._speed.forecast(1.0), 0.0)
         c = self._dir_cos.forecast(1.0)
         s = self._dir_sin.forecast(1.0)
@@ -441,7 +310,44 @@ class _ScalarPairTracker(LocationTracker):
             return position
         if norm > 1.0:
             c, s = c / norm, s / norm
-        return self._clamp_to_cap(position + Vec2(c, s) * (speed * dt))
+        k = speed * dt
+        x0, y0 = position.x, position.y
+        px = x0 + c * k
+        py = y0 + s * k
+        cap = self._displacement_cap
+        if cap is None:
+            return Vec2(px, py)
+        ox = px - x0
+        oy = py - y0
+        distance = math.hypot(ox, oy)
+        if distance <= cap:
+            return Vec2(px, py)
+        scale = cap / distance
+        return Vec2(x0 + ox * scale, y0 + oy * scale)
+
+
+class BrownTracker(_ScalarPairTracker):
+    """The paper's Location Estimator.
+
+    Speed and direction are each smoothed with Brown's double exponential
+    smoothing over the received LUs.  Direction is smoothed on its unit
+    vector (one Brown smoother per cos/sin component), which keeps the
+    estimate wrap-safe: smoothing a raw or unwrapped angle turns periodic
+    headings — e.g. a node patrolling a road back and forth — into a ramp
+    whose trend permanently rotates the estimate off-heading.  The
+    prediction projects from the last fix:
+
+        position(t) = last_fix + v_hat * (t - t_fix) * (cos θ_hat, sin θ_hat)
+    """
+
+    _state_kind = "brown"
+
+    def __init__(self, alpha: float = 0.4) -> None:
+        super().__init__(
+            BrownDoubleExponentialSmoothing(alpha),
+            BrownDoubleExponentialSmoothing(alpha),
+            BrownDoubleExponentialSmoothing(alpha),
+        )
 
 
 class SimpleSmoothingTracker(_ScalarPairTracker):

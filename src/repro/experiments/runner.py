@@ -46,6 +46,7 @@ from repro.experiments.config_io import apply_overrides, config_from_dict
 from repro.experiments.harness import run_experiment
 from repro.experiments.io import load_json, result_to_dict, write_json_atomic
 from repro.telemetry.export import merge_snapshots
+from repro.telemetry.metrics import TelemetryError
 from repro.util.rng import spawn_seed
 
 __all__ = [
@@ -273,6 +274,12 @@ def _valid_checkpoint(task: RunTask) -> dict[str, Any] | None:
     expected = json.loads(json.dumps(task.params))
     if meta.get("seed") != task.seed or meta.get("params") != expected:
         return None  # stale artifact from a different spec: recompute
+    telemetry = (payload.get("result") or {}).get("telemetry")
+    if telemetry is not None:
+        try:
+            merge_snapshots([telemetry])
+        except TelemetryError:
+            return None  # histograms in a format merging rejects: recompute
     return payload
 
 

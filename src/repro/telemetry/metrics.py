@@ -61,6 +61,23 @@ def _bucket_key(value: float) -> int:
     return (exponent << 6) + int(mantissa * 128.0)
 
 
+def _upper_bound(key: int) -> float:
+    """Exclusive upper bound of bucket *key*: its successor's lower bound."""
+    return math.ldexp((key & 63) + 65, (key >> 6) - 8)
+
+
+def _key_for_bound(upper: object) -> int | None:
+    """Key of the bucket whose exact upper bound is *upper*, else None."""
+    if not isinstance(upper, float) or not _SMALLEST < upper < math.inf:
+        return None
+    key = _bucket_key(upper) - 1
+    return key if _upper_bound(key) == upper else None
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class TelemetryError(RuntimeError):
     """Misuse of the telemetry API (type conflicts, bad arguments)."""
 
@@ -258,22 +275,59 @@ class Histogram(_Instrument):
 
         Bucket counts add, so absorbing the snapshots of several
         histograms yields exactly the histogram of all their samples
-        (``sum`` up to float rounding).
+        (``sum`` up to float rounding).  Raises :class:`TelemetryError`,
+        leaving this histogram unchanged, unless every bucket bound is the
+        zero bucket's or a finite exact bucket upper bound, every bucket
+        count is a positive int and the counts sum to ``count`` — which a
+        snapshot in the older fixed-bucket format (cumulative counts, an
+        ``"inf"`` bound) does not satisfy.
         """
-        if not snapshot["count"]:
+        count = snapshot.get("count")
+        pairs = snapshot.get("buckets")
+        if not _is_int(count) or count < 0 or not isinstance(pairs, list):
+            raise TelemetryError(
+                f"histogram {self.full_name} cannot absorb a snapshot with "
+                f"count {count!r} and buckets {pairs!r}"
+            )
+        zeros = 0
+        counts: list[tuple[int, int]] = []
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise TelemetryError(
+                    f"histogram {self.full_name}: bucket {pair!r} is not an "
+                    "[upper_bound, count] pair"
+                )
+            upper, n = pair
+            if not _is_int(n) or n <= 0:
+                raise TelemetryError(
+                    f"histogram {self.full_name}: bucket {pair!r} has no "
+                    "positive integer count"
+                )
+            if upper == _SMALLEST:
+                zeros += n
+                continue
+            key = _key_for_bound(upper)
+            if key is None:
+                raise TelemetryError(
+                    f"histogram {self.full_name}: {upper!r} is not a "
+                    "bucket upper bound"
+                )
+            counts.append((key, n))
+        if zeros + sum(n for _, n in counts) != count:
+            raise TelemetryError(
+                f"histogram {self.full_name}: bucket counts do not sum to "
+                f"count {count}"
+            )
+        if not count:
             return
-        self._count += snapshot["count"]
+        self._count += count
         self._sum += snapshot["sum"]
         self._min = min(self._min, snapshot["min"])
         self._max = max(self._max, snapshot["max"])
+        self._zeros += zeros
         buckets = self._buckets
-        for upper, count in snapshot["buckets"]:
-            if upper == _SMALLEST:
-                self._zeros += count
-            else:
-                # A bucket's upper bound is its successor's lower bound.
-                key = _bucket_key(upper) - 1
-                buckets[key] = buckets.get(key, 0) + count
+        for key, n in counts:
+            buckets[key] = buckets.get(key, 0) + n
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-serialisable state.
@@ -288,8 +342,7 @@ class Histogram(_Instrument):
         if self._zeros:
             buckets.append([_SMALLEST, self._zeros])
         for key in sorted(self._buckets):
-            upper = math.ldexp((key & 63) + 65, (key >> 6) - 8)
-            buckets.append([upper, self._buckets[key]])
+            buckets.append([_upper_bound(key), self._buckets[key]])
         return {
             "kind": self.kind,
             "count": self._count,

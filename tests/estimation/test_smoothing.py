@@ -1,5 +1,6 @@
 """Tests for exponential smoothing estimators."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from repro.estimation import (
     HoltLinearSmoothing,
     SimpleExponentialSmoothing,
 )
+from repro.estimation.smoothing import brown_forecast, brown_step
 
 values = st.floats(min_value=-1e5, max_value=1e5)
 
@@ -130,22 +132,19 @@ class TestProperties:
 
 class TestUpdateAbsorbEquivalence:
     """``update`` must equal ``_absorb`` + ``_n`` + ``level`` for every
-    smoother.
+    smoother that keeps the generic template.
 
-    ``BrownDoubleExponentialSmoothing.update`` is a concrete performance
-    override of the template method (one call per LU per component on the
-    broker hot path); this property pins it to the abstract recipe so the
-    two can never drift.
+    Brown's smoother has no ``_absorb``: its ``update`` is its only step
+    path and :class:`TestBrownFunctions` pins it to :func:`brown_step`.
     """
 
     @pytest.mark.parametrize(
         "factory",
         [
             lambda: SimpleExponentialSmoothing(0.3),
-            lambda: BrownDoubleExponentialSmoothing(0.4),
             lambda: HoltLinearSmoothing(0.4, 0.2),
         ],
-        ids=["simple", "brown", "holt"],
+        ids=["simple", "holt"],
     )
     @given(series=st.lists(values, min_size=1, max_size=40))
     def test_update_equals_absorb_plus_level(self, factory, series):
@@ -161,3 +160,44 @@ class TestUpdateAbsorbEquivalence:
             assert via_update.level == via_absorb.level
             assert via_update.n_observations == via_absorb.n_observations
             assert via_update.forecast(2.5) == via_absorb.forecast(2.5)
+
+
+#: Smoothing constants across (0, 1), including values a hair from either end.
+alphas = st.one_of(
+    st.floats(min_value=1e-12, max_value=1.0 - 1e-12),
+    st.sampled_from([1e-12, 1e-6, 0.4, 1.0 - 1e-6, 1.0 - 1e-12]),
+)
+
+
+class TestBrownFunctions:
+    """``brown_step``/``brown_forecast`` are shared by the object trackers
+    and the columnar broker state, so float and float64-array evaluation
+    must agree bit for bit."""
+
+    @given(
+        rows=st.lists(st.tuples(values, values, values), min_size=1, max_size=20),
+        a=alphas,
+        horizon=st.sampled_from([1.0, 2.5]),
+    )
+    def test_array_equals_elementwise_floats(self, rows, a, horizon):
+        s1, s2, x = (np.array(col, dtype=np.float64) for col in zip(*rows))
+        n1, n2 = brown_step(s1, s2, x, a)
+        f = brown_forecast(n1, n2, a, horizon)
+        for i, (r1, r2, rx) in enumerate(rows):
+            e1, e2 = brown_step(r1, r2, rx, a)
+            assert type(e1) is float and type(e2) is float
+            assert (n1[i], n2[i]) == (e1, e2)
+            assert f[i] == brown_forecast(e1, e2, a, horizon)
+
+    @given(series=st.lists(values, min_size=1, max_size=40), a=alphas)
+    def test_smoother_update_matches_brown_step(self, series, a):
+        smoother = BrownDoubleExponentialSmoothing(a)
+        s1 = s2 = float(series[0])
+        smoother.update(series[0])
+        for value in series[1:]:
+            s1, s2 = brown_step(s1, s2, float(value), a)
+            assert smoother.update(value) == 2.0 * s1 - s2
+        assert smoother.state_dict() == {
+            "alpha": a, "n": len(series), "s1": s1, "s2": s2,
+        }
+        assert smoother.forecast(2.5) == brown_forecast(s1, s2, a, 2.5)

@@ -198,6 +198,33 @@ class TestCheckpointResume:
         assert len(resumed.resumed) == 7
 
 
+    def test_old_format_telemetry_checkpoint_is_recomputed(self, tmp_path):
+        from repro.telemetry import TelemetryConfig
+
+        spec = SweepSpec(
+            base=tiny_base(duration=2.0, telemetry=TelemetryConfig(enabled=True)),
+            replications=2,
+        )
+        out = tmp_path / "sweep"
+        full = run_sweep(spec, out_dir=out, workers=1)
+        artifact = sorted((out / "runs").rglob("rep*.json"))[0]
+        payload = json.loads(artifact.read_text())
+        metrics = payload["result"]["telemetry"]["metrics"]
+        name = "net.channel.delivery_latency"
+        count = metrics[name]["count"]
+        # The pre-log-linear layout: cumulative counts and an "inf" bound.
+        metrics[name]["buckets"] = [[0.001, count], ["inf", count]]
+        artifact.write_text(json.dumps(payload))
+
+        resumed = run_sweep(spec, out_dir=out, workers=1)
+        sweep = payload["sweep"]
+        assert resumed.executed == [f"{sweep['cell_key']}#rep{sweep['replication']}"]
+        assert len(resumed.resumed) == 1
+        # Wall-clock spans differ between runs; the metrics re-run exactly.
+        merged = resumed.cells["base"].telemetry()
+        assert merged["metrics"] == full.cells["base"].telemetry()["metrics"]
+
+
 class TestRetry:
     def test_serial_failure_is_retried_once(self, monkeypatch):
         spec = SweepSpec(base=tiny_base(duration=2.0))

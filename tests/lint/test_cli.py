@@ -130,3 +130,16 @@ class TestRepoCleanGate:
             assert all(
                 "::INV002::" in fp for fp in data["fingerprints"]
             ), sorted(data["fingerprints"])
+
+    def test_baseline_ratchet(self):
+        """The broker and the trackers share one Brown estimator through
+        public calls, so neither may grandfather a private peek again, and
+        the INV002 entry count only goes down."""
+        data = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
+        fingerprints = data["fingerprints"]
+        ratcheted = (
+            "src/repro/broker/broker.py::",
+            "src/repro/estimation/tracker.py::",
+        )
+        assert [fp for fp in fingerprints if fp.startswith(ratcheted)] == []
+        assert sum("::INV002::" in fp for fp in fingerprints) <= 24

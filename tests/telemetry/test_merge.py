@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.telemetry import Histogram, merge_snapshots
+from repro.telemetry import Histogram, TelemetryError, merge_snapshots
 from repro.telemetry.metrics import RELATIVE_ERROR
 
 
@@ -129,3 +129,84 @@ class TestExactMerge:
             # only to within that float.
             bound = max(exact * RELATIVE_ERROR, 2.0**-1022)
             assert abs(estimate - exact) <= bound
+
+
+#: A histogram snapshot as written before the log-linear buckets: fixed
+#: decimal bounds, cumulative counts and an ``"inf"`` overflow bucket.
+OLD_FORMAT = {
+    "kind": "histogram",
+    "count": 3,
+    "sum": 0.006,
+    "mean": 0.002,
+    "min": 0.001,
+    "max": 0.003,
+    "quantiles": {"0.5": 0.002, "0.9": 0.003, "0.99": 0.003},
+    "buckets": [[0.001, 1], [0.005, 3], [0.01, 3], ["inf", 3]],
+}
+
+#: Exact bucket bounds (those of samples 0.75, 1.5, 1.5) but cumulative
+#: counts, which sum to 4 for a count of 3.
+CUMULATIVE = {
+    "kind": "histogram",
+    "count": 3,
+    "sum": 3.75,
+    "mean": 1.25,
+    "min": 0.75,
+    "max": 1.5,
+    "quantiles": {"0.5": 1.5, "0.9": 1.5, "0.99": 1.5},
+    "buckets": [[0.7578125, 1], [1.515625, 3]],
+}
+
+
+class TestMalformedSnapshots:
+    def test_cumulative_literal_has_exact_bounds(self):
+        assert histogram_snapshot([0.75, 1.5, 1.5])["buckets"] == [
+            [0.7578125, 1],
+            [1.515625, 2],
+        ]
+
+    @pytest.mark.parametrize(
+        "bad", [OLD_FORMAT, CUMULATIVE], ids=["old_format", "cumulative"]
+    )
+    def test_merge_raises_telemetry_error(self, bad):
+        with pytest.raises(TelemetryError):
+            merge_snapshots([{"metrics": {"latency": bad}}])
+
+    @pytest.mark.parametrize(
+        "buckets, count",
+        [
+            ([[0.001, 1]], 1),  # not an exact bucket bound
+            ([[1.0, 0]], 0),  # empty bucket
+            ([[1.0, 1.0]], 1),  # float count
+            ([[1.0, True]], 1),  # bool count
+            ([[2.0**-1030, 1]], 1),  # below the zero bucket's bound
+            ([[math.inf, 1]], 1),
+            ([[1.0, 1, 1]], 1),  # not a pair
+            ([[1.0, 2]], 1),  # counts do not sum to count
+        ],
+        ids=[
+            "inexact_bound",
+            "empty_bucket",
+            "float_count",
+            "bool_count",
+            "subnormal_bound",
+            "inf_bound",
+            "not_a_pair",
+            "sum_mismatch",
+        ],
+    )
+    def test_absorb_rejects_and_leaves_histogram_unchanged(self, buckets, count):
+        h = Histogram("latency")
+        for value in (0.0, 1.5):
+            h.observe(value)
+        before = h.snapshot()
+        bad = dict(histogram_snapshot([1.5]), count=count, buckets=buckets)
+        with pytest.raises(TelemetryError):
+            h.absorb(bad)
+        assert h.snapshot() == before
+
+    def test_zero_bucket_and_empty_snapshots_absorb(self):
+        h = Histogram("latency")
+        h.absorb(histogram_snapshot([]))
+        h.absorb(histogram_snapshot([0.0, 0.0, 2.5]))
+        assert h.snapshot() == histogram_snapshot([0.0, 0.0, 2.5])
